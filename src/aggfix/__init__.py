@@ -51,7 +51,6 @@ from .solutions import (
 )
 from .fixpoint import (
     FixpointTrace,
-    ReductProgram,
     apply_consequence,
     enumerate_answer_sets,
     is_fixpoint_answer_set,

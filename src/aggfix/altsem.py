@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import LimitExceeded, SemanticsViolation
+from .errors import SemanticsViolation
 from .evaluate import (
     DEFAULT_SUBSET_LIMIT,
     Interpretation,
@@ -37,7 +36,7 @@ from .evaluate import (
     is_minimal_model,
     satisfies_body,
 )
-from .fixpoint import is_fixpoint_answer_set
+from .fixpoint import DEFAULT_CANDIDATE_LIMIT, is_fixpoint_answer_set, subsets
 from .solutions import (
     DEFAULT_ENUM_LIMIT,
     SolutionPair,
@@ -152,9 +151,13 @@ def solutions_satisfied_by(
     )
 
 
-@lru_cache(maxsize=None)
 def _all_solutions(c: AggregateAtom, p: Program, limit: int):
-    return enumerate_solutions(c, p, limit=limit)
+    """The solutions of ``c``, enumerated once and kept in ``p.index``."""
+    kept = p.index.solutions
+    key = (c, limit)
+    if key not in kept:
+        kept[key] = enumerate_solutions(c, p, limit=limit)
+    return kept[key]
 
 
 def _dedup_subsume(rules) -> tuple[Rule, ...]:
@@ -297,28 +300,31 @@ def _check_relations(r: SemanticsReport):
 def compare_programs(
     p: Program,
     candidates=None,
-    candidate_limit: int = 1 << 20,
+    candidate_limit: int = DEFAULT_CANDIDATE_LIMIT,
     enum_limit: int = DEFAULT_ENUM_LIMIT,
     subset_limit: int = DEFAULT_SUBSET_LIMIT,
 ) -> tuple[SemanticsReport, ...]:
-    """Reports for every candidate (default: all herbrand subsets)."""
+    """Reports for every candidate (default: all herbrand subsets, which
+    ``candidate_limit`` bounds), in size-then-lexicographic order.
+
+    Only candidates made of rule-head atoms are evaluated; any other
+    gets an all-reject row.  Four of the semantics accept only the least
+    model of some reduct, which holds rule heads alone.  FLP asks for a
+    minimal model of the rules whose bodies the candidate satisfies, and
+    dropping an atom that no rule heads from a model of those rules
+    leaves a model.
+    """
     if candidates is None:
-        base = herbrand_base(p)
-        if 2 ** len(base) > candidate_limit:
-            raise LimitExceeded(
-                f"comparing 2**{len(base)} candidates exceeds {candidate_limit}"
-            )
-        candidates = (
-            frozenset(combo)
-            for size in range(len(base) + 1)
-            for combo in itertools.combinations(base, size)
-        )
+        candidates = subsets(herbrand_base(p), candidate_limit)
+    heads = frozenset(p.index.heads)
     tr_program = translate_tr(p, limit=enum_limit)
     reports = [
         semantics_report(
-            p, frozenset(m), tr_program=tr_program,
+            p, m, tr_program=tr_program,
             enum_limit=enum_limit, subset_limit=subset_limit,
         )
-        for m in candidates
+        if m <= heads
+        else SemanticsReport(m, *[False] * 5)
+        for m in map(frozenset, candidates)
     ]
     return tuple(sorted(reports, key=lambda r: interpretation_key(r.candidate)))

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import altsem, fixpoint, harness, solutions
@@ -44,7 +44,6 @@ class RunConfig:
     budget_candidates: int = fixpoint.DEFAULT_CANDIDATE_LIMIT
     budget_subsets: int = 1 << 20
     budget_sum: int = solutions.DEFAULT_SUBSET_SUM_LIMIT
-    lines: list = field(default_factory=list)
 
     def emit(self, text: str = ""):
         if not self.quiet:
@@ -190,6 +189,7 @@ def cmd_solutions(args, cfg: RunConfig) -> int:
         program,
         limit=cfg.budget_enum,
         oracle_free_limit=cfg.budget_oracle,
+        subset_sum_limit=cfg.budget_sum,
     )
     if cfg.format == "json":
         cfg.emit_json(
@@ -258,7 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true")
     common.add_argument("--budget-oracle", type=int, default=None)
     common.add_argument("--budget-enum", type=int, default=None)
-    common.add_argument("--budget-candidates", type=int, default=None)
+    common.add_argument(
+        "--budget-candidates", type=int, default=None,
+        help="most candidates a sweep may visit: solve sweeps the 2**|head atoms| "
+        "subsets of the rule-head atoms; compare, given no candidates, lists "
+        "all 2**|herbrand base| subsets",
+    )
     common.add_argument("--budget-subsets", type=int, default=None)
     common.add_argument("--budget-sum", type=int, default=None)
 

@@ -7,6 +7,10 @@ occurrence per true instance for a multiset pattern.  sum/count are
 total (empty collection gives 0); min/max/avg are undefined on the
 empty collection and an undefined comparison counts as false.  avg is
 computed with exact rationals, never floats.
+
+``is_model`` runs on bit masks over the program's compiled index
+(``Program.index``); ``eval_aggregate_atom`` matches atoms directly and
+stays the reference the solution oracle evaluates with.
 """
 
 from __future__ import annotations
@@ -94,10 +98,8 @@ def eval_set_expression(expr: SetExpr, i: Interpretation, p: Program):
     return set(values)
 
 
-def eval_aggregate_atom(l: AggregateAtom, i: Interpretation, p: Program) -> bool:
-    if not isinstance(l.bound, int):
-        raise ValueError(f"aggregate atom {l} is not ground")
-    values = _collect(l.set_expr, i, p, require_int=l.func != "count")
+def _value_satisfies(l: AggregateAtom, values: list) -> bool:
+    """Whether the aggregate of the collected ``values`` meets the bound."""
     if l.func == "count":
         result: Union[int, Fraction] = len(values)
     elif l.func == "sum":
@@ -113,6 +115,23 @@ def eval_aggregate_atom(l: AggregateAtom, i: Interpretation, p: Program) -> bool
     return compare(l.op, result, l.bound)
 
 
+def eval_aggregate_atom(l: AggregateAtom, i: Interpretation, p: Program) -> bool:
+    if not isinstance(l.bound, int):
+        raise ValueError(f"aggregate atom {l} is not ground")
+    return _value_satisfies(l, _collect(l.set_expr, i, p, require_int=l.func != "count"))
+
+
+def _holds(c, m: int) -> bool:
+    """Truth of a compiled aggregate in the interpretation with bit mask
+    ``m``; agrees with ``eval_aggregate_atom``.  Set patterns need no
+    de-duplication here: their universe atoms differ in the grouped
+    value alone."""
+    chosen = m & c.mask
+    if chosen & c.symbolic:
+        raise NonIntegerElement(c.first_atom(chosen & c.symbolic))
+    return _value_satisfies(c.atom, [v for b, _, v in c.universe if b & chosen])
+
+
 def satisfies_body(i: Interpretation, rule: Rule, p: Program) -> bool:
     return (
         all(a in i for a in rule.pos)
@@ -121,12 +140,13 @@ def satisfies_body(i: Interpretation, rule: Rule, p: Program) -> bool:
     )
 
 
-def satisfies_rule(i: Interpretation, rule: Rule, p: Program) -> bool:
-    return rule.head in i or not satisfies_body(i, rule, p)
-
-
 def is_model(i: Interpretation, p: Program) -> bool:
-    return all(satisfies_rule(i, rule, p) for rule in p.rules)
+    index = p.index
+    m = index.mask(i)
+    for head, pos, neg, aggs in index.rules:
+        if not (head & m or pos & ~m or neg & m) and all(_holds(c, m) for c in aggs):
+            return False
+    return True
 
 
 def is_minimal_model(

@@ -83,8 +83,6 @@ def _context(l: AggregateAtom, s: SolutionPair, p: Program):
     uset = frozenset(universe)
     if not (s.p <= uset and s.n <= uset):
         raise ValueError("solution pair mentions atoms outside the universe")
-    if not isinstance(l.bound, int):
-        raise ValueError(f"aggregate atom {l} is not ground")
     free = tuple(a for a in universe if a not in s.p and a not in s.n)
     if l.func in _NUMERIC:
         # Both routes reject symbolic values up front: the oracle would
@@ -93,10 +91,6 @@ def _context(l: AggregateAtom, s: SolutionPair, p: Program):
             if not isinstance(grouped_value(atom, l.set_expr), int):
                 raise NonIntegerElement(atom)
     return free
-
-
-def _values(atoms, expr: SetExpr) -> list[int]:
-    return [grouped_value(a, expr) for a in atoms]
 
 
 def is_solution_oracle(
@@ -131,30 +125,28 @@ def _reachable_sums(values, limit: int) -> set[int]:
     return sums
 
 
-def is_solution(
-    l: AggregateAtom,
-    s: SolutionPair,
-    p: Program,
-    oracle_free_limit: int = DEFAULT_ORACLE_FREE_LIMIT,
-    subset_sum_limit: int = DEFAULT_SUBSET_SUM_LIMIT,
-) -> bool:
-    """Case-by-case solution check; agrees with ``is_solution_oracle``."""
-    free = _context(l, s, p)
+def _case_split(
+    l: AggregateAtom, base_values: list, free_values: list, subset_sum_limit: int
+):
+    """Whether every extension of the base values by free values satisfies
+    ``l``, decided per (function, operator) case.
+
+    ``base_values`` are the grouped values of the pair's positive part
+    and ``free_values`` those of its free atoms.  Returns None for avg
+    with ``!=``, which has no polynomial case split: the caller asks the
+    oracle.
+    """
     op, v = l.op, l.bound
 
     if l.func == "count":
-        c = len(s.p)
+        c, free = len(base_values), len(free_values)
         if op in (">", ">="):
             # adding free atoms only raises the count
             return compare(op, c, v)
         if op in ("=", "<", "<="):
-            return compare(op, c, v) and compare(op, c + len(free), v)
+            return compare(op, c, v) and compare(op, c + free, v)
         # "!=": counts sweep the whole range [c, c + free]
-        return c > v or (c < v and len(free) < v - c)
-
-    expr = l.set_expr
-    base_values = _values(s.p, expr)
-    free_values = _values(free, expr)
+        return c > v or (c < v and free < v - c)
 
     if l.func == "sum":
         base = sum(base_values)
@@ -170,8 +162,8 @@ def is_solution(
         return (v - base) not in _reachable_sums(free_values, subset_sum_limit)
 
     # min/max/avg are undefined on the empty collection, so the base
-    # interpretation s.p itself must make them defined.
-    if not s.p:
+    # itself must make them defined.
+    if not base_values:
         return False
 
     if l.func == "min":
@@ -214,8 +206,37 @@ def is_solution(
             if not compare(op, running, v * (k + h)):
                 return False
         return True
-    # avg with "!=" has no known polynomial case split
-    return is_solution_oracle(l, s, p, free_limit=oracle_free_limit)
+    return None
+
+
+def _mask_verdict(c, pos: int, free: int, subset_sum_limit: int):
+    """``_case_split`` on a compiled aggregate, with the positive part and
+    the free atoms given as bit masks."""
+    if (pos | free) & c.symbolic:
+        raise NonIntegerElement(c.first_atom((pos | free) & c.symbolic))
+    base_values = [v for b, _, v in c.universe if b & pos]
+    free_values = [v for b, _, v in c.universe if b & free]
+    return _case_split(c.atom, base_values, free_values, subset_sum_limit)
+
+
+def is_solution(
+    l: AggregateAtom,
+    s: SolutionPair,
+    p: Program,
+    oracle_free_limit: int = DEFAULT_ORACLE_FREE_LIMIT,
+    subset_sum_limit: int = DEFAULT_SUBSET_SUM_LIMIT,
+) -> bool:
+    """Case-by-case solution check; agrees with ``is_solution_oracle``."""
+    index = p.index
+    c = index.aggregate(l)
+    pos, neg = index.mask(s.p), index.mask(s.n)
+    # An atom the program lacks adds no bit; one outside H, a bit outside H.
+    if (pos | neg).bit_count() != len(s.p) + len(s.n) or (pos | neg) & ~c.mask:
+        raise ValueError("solution pair mentions atoms outside the universe")
+    verdict = _mask_verdict(c, pos, c.mask & ~(pos | neg), subset_sum_limit)
+    if verdict is None:
+        return is_solution_oracle(l, s, p, free_limit=oracle_free_limit)
+    return verdict
 
 
 def enumerate_solutions(
@@ -223,6 +244,7 @@ def enumerate_solutions(
     p: Program,
     limit: int = DEFAULT_ENUM_LIMIT,
     oracle_free_limit: int = DEFAULT_ORACLE_FREE_LIMIT,
+    subset_sum_limit: int = DEFAULT_SUBSET_SUM_LIMIT,
 ) -> tuple[SolutionPair, ...]:
     """All solutions of ``l`` over its universe, in canonical order."""
     universe = atom_universe(l, p)
@@ -236,9 +258,23 @@ def enumerate_solutions(
             frozenset(a for a, w in zip(universe, assignment) if w == 1),
             frozenset(a for a, w in zip(universe, assignment) if w == 2),
         )
-        if is_solution(l, pair, p, oracle_free_limit=oracle_free_limit):
+        if is_solution(
+            l, pair, p,
+            oracle_free_limit=oracle_free_limit, subset_sum_limit=subset_sum_limit,
+        ):
             found.append(pair)
     return tuple(sorted(found, key=pair_key))
+
+
+def holds_conditionally(c, i: int, m: int, p: Program) -> bool:
+    """``conditionally_satisfies`` for a compiled aggregate of ``p``, with
+    ``i`` and ``m`` given as bit masks over ``p.index``."""
+    pos = i & m & c.mask
+    verdict = _mask_verdict(c, pos, m & c.mask & ~i, DEFAULT_SUBSET_SUM_LIMIT)
+    if verdict is None:
+        pair = SolutionPair(c.atoms_in(pos), c.atoms_in(c.mask & ~m))
+        return is_solution_oracle(c.atom, pair, p)
+    return verdict
 
 
 def conditionally_satisfies(
@@ -252,9 +288,10 @@ def conditionally_satisfies(
     candidate are derived later.  Monotone in ``i`` for fixed ``m``.
     """
     if isinstance(literal, AggregateAtom):
-        universe = frozenset(atom_universe(literal, p))
-        pair = SolutionPair(i & m & universe, universe - m)
-        return is_solution(literal, pair, p)
+        index = p.index
+        return holds_conditionally(
+            index.aggregate(literal), index.mask(i), index.mask(m), p
+        )
     return literal in i
 
 

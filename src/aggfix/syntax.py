@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import ParseError
@@ -167,6 +167,17 @@ class Program:
 
     def __str__(self) -> str:
         return render_program(self)
+
+    @cached_property
+    def index(self):
+        """The ``CompiledProgram`` the engine runs on, built on first use.
+
+        It assumes a ground program; the printer and the generator never
+        touch it.
+        """
+        from .compiled import CompiledProgram  # compiled imports this module
+
+        return CompiledProgram(self)
 
 
 # When grounding, a substitution maps global variables to constants.
@@ -564,7 +575,6 @@ def substitute_rule(rule: Rule, subst: Substitution) -> Rule:
     )
 
 
-@lru_cache(maxsize=None)
 def sorted_constants(p: Program) -> tuple[Constant, ...]:
     return tuple(sorted(p.constants, key=term_key))
 
@@ -594,8 +604,9 @@ def ground_program(p: Program) -> Program:
     return Program(tuple(ground_rules), p.constants, p.predicates)
 
 
-@lru_cache(maxsize=None)
-def _universe(expr: SetExpr, domain: tuple[Constant, ...]) -> tuple[Atom, ...]:
+def universe_atoms(expr: SetExpr, domain: tuple[Constant, ...]) -> tuple[Atom, ...]:
+    """Instantiations of a ground set expression's pattern over ``domain``,
+    in canonical order."""
     fill = tuple(dict.fromkeys(atom_vars(expr.pattern)))
     scoped = {expr.grouped, *expr.local_vars}
     if any(v not in scoped for v in fill):
@@ -612,12 +623,11 @@ def atom_universe(aggregate: AggregateAtom, p: Program) -> tuple[Atom, ...]:
 
     This is the universe the aggregate atom can observe: its truth value
     under any interpretation depends only on the intersection with it.
-    Returned in canonical order.
+    Returned in canonical order, from the program's compiled index.
     """
-    return _universe(aggregate.set_expr, sorted_constants(p))
+    return p.index.aggregate(aggregate).atoms
 
 
-@lru_cache(maxsize=None)
 def herbrand_base(p: Program) -> tuple[Atom, ...]:
     """All ground atoms over the program's predicates and constants."""
     domain = sorted_constants(p)

@@ -22,7 +22,8 @@ from aggfix.altsem import (
     gl_reduct,
 )
 from aggfix.fixpoint import enumerate_answer_sets, is_fixpoint_answer_set, least_fixpoint
-from aggfix.syntax import Atom, herbrand_base, parse_program, render_rule
+from aggfix.harness import GenParams, generate_program
+from aggfix.syntax import Atom, ground_program, herbrand_base, parse_program, render_rule
 
 
 def atoms(*specs):
@@ -271,3 +272,33 @@ def test_all_semantics_collapse_without_aggregates():
 def test_normal_program_rejects_aggregates(guard_program):
     with pytest.raises(ValueError):
         NormalProgram(guard_program.rules)
+
+
+def test_non_head_candidates_rejected_by_every_semantics():
+    # compare_programs lists these candidates as all-reject rows
+    # without evaluating them.
+    rejected = 0
+    for seed in range(500):  # the criterion-6 corpus
+        program = ground_program(generate_program(GenParams(seed)))
+        heads = {r.head for r in program.rules}
+        tr_program = translate_tr(program)
+        base = herbrand_base(program)
+        for size in range(len(base) + 1):
+            for m in map(frozenset, itertools.combinations(base, size)):
+                if m <= heads:
+                    continue
+                report = semantics_report(program, m, tr_program=tr_program)
+                assert not report.any_accepted, (seed, report)
+                rejected += 1
+    assert rejected > 10_000
+
+
+def test_compare_programs_rows_match_per_candidate_reports(guard_program, choice_program):
+    for program in (guard_program, choice_program):
+        base = herbrand_base(program)
+        expected = [
+            semantics_report(program, frozenset(combo))
+            for size in range(len(base) + 1)
+            for combo in itertools.combinations(base, size)
+        ]
+        assert compare_programs(program) == tuple(expected)

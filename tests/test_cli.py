@@ -264,6 +264,26 @@ def test_budget_exhaustion_exits_3(run_cli, program_files):
     assert code == 3 and "limit exceeded" in err
 
 
+def test_solve_skips_atoms_no_rule_derives(run_cli, tmp_path):
+    # p(a) is in the sum's universe and the Herbrand base, but no rule
+    # derives it, so no candidate holds its symbolic value.
+    path = tmp_path / "symbolic.lp"
+    path.write_text("p(1). q(a). h :- sum{X : p(X)} > 0.")
+    code, out, err = run_cli("solve", str(path))
+    assert (code, out, err) == (0, "{h, p(1), q(a)}\n", "")
+    code, out, _ = run_cli("check", str(path), "-m", "p(1),q(a),h")
+    assert code == 0 and out.endswith("answer set: yes\n")
+
+
+def test_subset_sum_budget_flag(run_cli, tmp_path):
+    path = tmp_path / "sum_ne.lp"
+    path.write_text("p(1). p(2). q :- sum{X : p(X)} != 2.")
+    code, out, _ = run_cli("solutions", str(path))
+    assert code == 0 and out.startswith("5 solutions")
+    code, out, err = run_cli("solutions", str(path), "--budget-sum", "1")
+    assert code == 3 and out == "" and "limit exceeded" in err
+
+
 def test_oracle_budget_env_var(run_cli, tmp_path, monkeypatch):
     # avg != needs the brute-force fallback; a zero budget starves it.
     path = tmp_path / "avg.lp"

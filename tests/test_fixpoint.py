@@ -13,10 +13,13 @@ from aggfix.fixpoint import (
     least_fixpoint,
     reduct,
 )
-from aggfix.solutions import conditionally_satisfies
+from aggfix.harness import GenParams, SplitMix64, generate_program
+from aggfix.solutions import SolutionPair, conditionally_satisfies, is_solution_oracle
 from aggfix.syntax import (
     Atom,
     Program,
+    atom_universe,
+    ground_program,
     herbrand_base,
     interpretation_key,
     parse_program,
@@ -177,3 +180,62 @@ def test_answer_sets_are_models(guard_program, choice_program):
 def test_empty_program_has_empty_answer_set():
     p = parse_program("")
     assert enumerate_answer_sets(p) == (frozenset(),)
+
+
+def full_base_answer_sets(program):
+    """Reference sweep over every subset of the Herbrand base."""
+    base = herbrand_base(program)
+    return tuple(
+        m
+        for size in range(len(base) + 1)
+        for m in map(frozenset, itertools.combinations(base, size))
+        if is_model(m, program) and is_fixpoint_answer_set(program, m)[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        [GenParams(seed) for seed in range(500)],  # the criterion-6 corpus
+        [
+            GenParams(seed, num_predicates=4, num_rules=10, num_constants=4)
+            for seed in range(40)
+        ],
+    ],
+    ids=["criterion-6", "solve-sweep-family"],
+)
+def test_head_sweep_equals_full_base_sweep(params):
+    for g in params:
+        program = ground_program(generate_program(g))
+        assert enumerate_answer_sets(program) == full_base_answer_sets(program), g
+
+
+def test_candidate_budget_counts_head_atoms_only():
+    # 2**6 base subsets but 2**1 head subsets: a budget of 2 suffices.
+    program = ground_program(parse_program("#const 1 2 3. q(1) :- not p(2)."))
+    assert len(herbrand_base(program)) == 6
+    assert enumerate_answer_sets(program, limit=2) == (atoms("q/1"),)
+    with pytest.raises(LimitExceeded):
+        enumerate_answer_sets(program, limit=1)
+
+
+def test_lfp_stages_agree_with_oracle():
+    # The bit-mask kernel against the brute-force oracle on the pair
+    # <i & m & H, H - m> at every stage, for seeded candidates.
+    checked = 0
+    for seed in range(500):
+        program = ground_program(generate_program(GenParams(seed)))
+        aggregates = {c for r in program.rules for c in r.agg}
+        base = herbrand_base(program)
+        rng = SplitMix64(seed)
+        for _ in range(4):
+            m = frozenset(a for a in base if rng.chance(500))
+            for stage in least_fixpoint(program, m).stages:
+                for c in aggregates:
+                    universe = frozenset(atom_universe(c, program))
+                    pair = SolutionPair(stage & m & universe, universe - m)
+                    assert conditionally_satisfies(
+                        stage, m, c, program
+                    ) == is_solution_oracle(c, pair, program), (seed, m, stage, c)
+                    checked += 1
+    assert checked > 1000

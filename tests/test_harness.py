@@ -124,3 +124,11 @@ def test_scp_instances_agree_with_oracle():
         except LimitExceeded:
             continue
         assert fast == slow, f"seed {seed}"
+
+
+def test_program_index_is_built_on_first_engine_use():
+    program = generate_program(GenParams(3))
+    render_program(program)
+    assert "index" not in vars(program)
+    enumerate_answer_sets(program)
+    assert "index" in vars(program)
