@@ -138,6 +138,10 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         candidates = _read_candidates(args.candidates_from_file)
     elif args.candidate is not None:
         candidates = [parse_atom_list(args.candidate)]
+    elif not args.all:
+        # Only rule-head candidates can be accepted, and only accepted
+        # rows are shown: evaluate just those.
+        candidates = fixpoint.subsets(program.index.heads, cfg.budget_candidates)
     reports = altsem.compare_programs(
         program,
         candidates=candidates,
@@ -192,13 +196,19 @@ def cmd_solutions(args, cfg: RunConfig) -> int:
         subset_sum_limit=cfg.budget_sum,
     )
     if cfg.format == "json":
+        # The compiled universe is in canonical order: walking it renders
+        # each part sorted, with one str() per universe atom.
+        labels = [(a, str(a)) for a in program.index.aggregate(aggregate).atoms]
         cfg.emit_json(
             {
                 "command": "solutions",
                 "aggregate": str(aggregate),
                 "count": len(pairs),
                 "solutions": [
-                    {"p": _interp_to_json(s.p), "n": _interp_to_json(s.n)}
+                    {
+                        "p": [text for a, text in labels if a in s.p],
+                        "n": [text for a, text in labels if a in s.n],
+                    }
                     for s in pairs
                 ],
             }
@@ -260,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-enum", type=int, default=None)
     common.add_argument(
         "--budget-candidates", type=int, default=None,
-        help="most candidates a sweep may visit: solve sweeps the 2**|head atoms| "
-        "subsets of the rule-head atoms; compare, given no candidates, lists "
-        "all 2**|herbrand base| subsets",
+        help="most candidates a sweep may visit: solve, and compare given no "
+        "candidates, sweep the 2**|head atoms| subsets of the rule-head atoms; "
+        "compare --all lists all 2**|herbrand base| subsets",
     )
     common.add_argument("--budget-subsets", type=int, default=None)
     common.add_argument("--budget-sum", type=int, default=None)
@@ -342,9 +352,20 @@ def _config_from(args) -> RunConfig:
     return cfg
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process: each
+    ``parse_args`` call fills a fresh namespace."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from(args)
     except ValueError as exc:

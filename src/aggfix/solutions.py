@@ -15,6 +15,11 @@ function and comparison operator; every case is polynomial except
 sum-with-``!=``, which reduces to subset-sum and runs a pseudo-
 polynomial reachable-sums sweep, and avg-with-``!=``, which falls back
 to the oracle.
+
+``enumerate_solutions`` runs that case split directly on the grouped
+values of the aggregate's compiled universe (``Program.index``): it
+builds a ``SolutionPair`` only for an accepted pair, and for avg-with-
+``!=`` pairs, which it hands to the oracle.
 """
 
 from __future__ import annotations
@@ -239,6 +244,21 @@ def is_solution(
     return verdict
 
 
+def _lex_masks(size: int) -> list[int]:
+    """Every subset of ``range(size)`` as a bit mask, ordered as the
+    ascending position tuples are ordered: a subset comes right before
+    its extensions."""
+    out = []
+
+    def grow(mask: int, start: int):
+        out.append(mask)
+        for k in range(start, size):
+            grow(mask | 1 << k, k + 1)
+
+    grow(0, 0)
+    return out
+
+
 def enumerate_solutions(
     l: AggregateAtom,
     p: Program,
@@ -246,24 +266,61 @@ def enumerate_solutions(
     oracle_free_limit: int = DEFAULT_ORACLE_FREE_LIMIT,
     subset_sum_limit: int = DEFAULT_SUBSET_SUM_LIMIT,
 ) -> tuple[SolutionPair, ...]:
-    """All solutions of ``l`` over its universe, in canonical order."""
-    universe = atom_universe(l, p)
-    if 3 ** len(universe) > limit:
+    """All solutions of ``l`` over its universe, in ``pair_key`` order.
+
+    The sweep assigns each atom of the compiled universe to the positive
+    part, the negative part or the free atoms, and runs the case split
+    on the grouped values; only avg-with-``!=`` pairs go to the oracle.
+    Subsets are bit masks over universe positions.  The universe is in
+    canonical order, so ordering the pairs by the lexicographic order of
+    the positive parts' position tuples, then of the negative parts',
+    is ``pair_key`` order.  The first pair checked leaves every atom
+    free, so a budget or a symbolic value that stops the sweep stops it
+    with the same message as checking that pair alone.
+    """
+    c = p.index.aggregate(l)
+    size = len(c.universe)
+    if 3 ** size > limit:
         raise LimitExceeded(
-            f"enumerating 3**{len(universe)} pairs exceeds the budget of {limit}"
+            f"enumerating 3**{size} pairs exceeds the budget of {limit}"
         )
+    if c.symbolic:
+        raise NonIntegerElement(c.first_atom(c.symbolic))
+    # The atoms and the grouped values of each subset, in universe order.
+    atoms_in = []
+    values_in = []
+    for mask in range(1 << size):
+        picked = [u for k, u in enumerate(c.universe) if mask >> k & 1]
+        atoms_in.append(frozenset(a for _, a, _ in picked))
+        values_in.append([v for _, _, v in picked])
+    order = _lex_masks(size)
+    rank = [0] * (1 << size)
+    for r, mask in enumerate(order):
+        rank[mask] = r
+    full = (1 << size) - 1
     found = []
-    for assignment in itertools.product((0, 1, 2), repeat=len(universe)):
-        pair = SolutionPair(
-            frozenset(a for a, w in zip(universe, assignment) if w == 1),
-            frozenset(a for a, w in zip(universe, assignment) if w == 2),
-        )
-        if is_solution(
-            l, pair, p,
-            oracle_free_limit=oracle_free_limit, subset_sum_limit=subset_sum_limit,
-        ):
-            found.append(pair)
-    return tuple(sorted(found, key=pair_key))
+    for pos in order:
+        base_values = values_in[pos]
+        rest = full ^ pos
+        accepted = []
+        neg = 0
+        while True:  # every submask of rest, ascending from 0
+            verdict = _case_split(
+                l, base_values, values_in[rest ^ neg], subset_sum_limit
+            )
+            if verdict is None:
+                verdict = is_solution_oracle(
+                    l, SolutionPair(atoms_in[pos], atoms_in[neg]), p,
+                    free_limit=oracle_free_limit,
+                )
+            if verdict:
+                accepted.append(neg)
+            if neg == rest:
+                break
+            neg = (neg - rest) & rest
+        accepted.sort(key=rank.__getitem__)
+        found.extend(SolutionPair(atoms_in[pos], atoms_in[n]) for n in accepted)
+    return tuple(found)
 
 
 def holds_conditionally(c, i: int, m: int, p: Program) -> bool:

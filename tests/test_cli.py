@@ -1,10 +1,11 @@
 """End-to-end CLI behaviour: golden text, JSON mirrors, exit codes."""
 
 import json
+import time
 
 import pytest
 
-from aggfix.syntax import parse_program
+from aggfix.syntax import ground_program, parse_program
 
 from conftest import GUARD_TEXT
 
@@ -310,3 +311,90 @@ def test_every_json_payload_is_versioned(run_cli, program_files, bound_six_file)
     ):
         _, out, _ = run_cli(*argv, "--format", "json")
         assert json.loads(out)["version"] == 1, argv
+
+
+def test_main_reuses_one_parser_across_calls(run_cli, program_files, monkeypatch):
+    # check defaults --trace to stages, solve to none: a value or flag
+    # left over from one call must not reach the next.
+    from aggfix import cli
+
+    guard = program_files["guard"]
+    sequence = [
+        ("check", guard, "-m", "p(1),p(2),p(3)", "--trace", "full"),
+        ("solve", guard),
+        ("check", guard, "-m", "p(1),p(2),p(3)"),
+        ("solve", guard, "--trace"),
+        ("solve", guard, "--quiet"),
+        ("solve", guard),
+        ("solve", guard, "--format", "json"),
+        ("solutions", guard, "--budget-enum", "9"),
+        ("solutions", guard),
+    ]
+    alone = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        alone.append(run_cli(*argv))
+    shared = cli._parser()
+    assert [run_cli(*argv) for argv in sequence] == alone
+    assert cli._parser() is shared
+    assert alone[1] == (0, "{p(1), p(2), p(3)}\n", "")
+    assert "reduct:" in alone[0][1] and "reduct:" not in alone[2][1]
+    assert "K^1" in alone[3][1] and alone[4][1] == ""
+    assert alone[7][0] == 3 and alone[8][0] == 0
+
+
+def test_compare_without_all_evaluates_only_head_candidates(run_cli, tmp_path):
+    # 16 base atoms but 3 head atoms: the shown rows come from 2**3
+    # candidates, not from 2**16 all-reject reports.
+    path = tmp_path / "wide.lp"
+    path.write_text(
+        "#const 1 2 3 4. p(1) :- not q(2). r(3) :- p(1). "
+        "s(4) :- count{X : p(X)} > 0."
+    )
+    start = time.perf_counter()
+    code, out, _ = run_cli("compare", str(path))
+    shown_s = time.perf_counter() - start
+    start = time.perf_counter()
+    code_all, out_all, _ = run_cli("compare", str(path), "--all")
+    all_s = time.perf_counter() - start
+    assert code == code_all == 0
+    assert len(out_all.splitlines()) == 2 ** 16
+    assert out.splitlines() == [line for line in out_all.splitlines() if "=yes" in line]
+    assert out == "{p(1), r(3), s(4)} fixpoint=yes flp=yes unfolding=yes naive_gl=yes tr=yes\n"
+    assert shown_s < all_s / 4
+    # The candidate budget now bounds the 2**3 head subsets.
+    assert run_cli("compare", str(path), "--budget-candidates", "8")[0] == 0
+    assert run_cli("compare", str(path), "--budget-candidates", "7")[0] == 3
+
+
+def test_enum_budget_flag(run_cli, bound_six_file):
+    code, out, err = run_cli("solutions", bound_six_file, "--budget-enum", "80")
+    assert code == 3 and out == "" and "limit exceeded" in err
+    code, out, _ = run_cli("solutions", bound_six_file, "--budget-enum", "81")
+    assert code == 0 and out.startswith("15 solutions")
+
+
+def test_solutions_rendering_walks_the_universe(run_cli, tmp_path):
+    # Arity-2 universes over two predicates, with integer and symbolic
+    # constants whose canonical order differs from string order.
+    from aggfix.cli import _interp_to_json
+    from aggfix.solutions import enumerate_solutions
+
+    path = tmp_path / "binary.lp"
+    path.write_text(
+        "#const 10 2 a.\n"
+        "h :- count{{X : q(X,Z)}} >= 8.\n"
+        "g :- count{X : r(a,X)} != 1.\n"
+    )
+    program = ground_program(parse_program(path.read_text()))
+    for index, agg in enumerate((program.rules[0].agg[0], program.rules[1].agg[0])):
+        pairs = enumerate_solutions(agg, program)
+        assert pairs
+        code, out, _ = run_cli("solutions", str(path), "--index", str(index),
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["solutions"] == [
+            {"p": _interp_to_json(s.p), "n": _interp_to_json(s.n)} for s in pairs
+        ]
+        code, out, _ = run_cli("solutions", str(path), "--index", str(index))
+        assert out.splitlines() == [f"{len(pairs)} solutions"] + [str(s) for s in pairs]

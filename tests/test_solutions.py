@@ -7,6 +7,7 @@ import pytest
 
 from aggfix.errors import LimitExceeded, NonIntegerElement
 from aggfix.evaluate import eval_aggregate_atom
+from aggfix.harness import SplitMix64
 from aggfix.solutions import (
     SolutionPair,
     conditionally_satisfies,
@@ -14,6 +15,7 @@ from aggfix.solutions import (
     is_solution,
     is_solution_oracle,
     make_subset_sum_instance,
+    pair_key,
 )
 from aggfix.syntax import (
     AGGREGATE_FUNCTIONS,
@@ -294,3 +296,81 @@ def test_checker_matches_oracle_on_small_universe():
                     assert is_solution(agg, s, program) == is_solution_oracle(
                         agg, s, program
                     ), (func, op, bound, str(s))
+
+
+def reference_solutions(agg, program):
+    """``is_solution`` over all 3**|H| pairs, in ``pair_key`` order."""
+    universe = atom_universe(agg, program)
+    found = [s for s in all_pairs(universe) if is_solution(agg, s, program)]
+    return tuple(sorted(found, key=pair_key))
+
+
+def test_enumeration_matches_reference_on_every_case():
+    # Seeded values around zero, always holding 0 and a negative value,
+    # under bounds on both sides of them.
+    rng = SplitMix64(7)
+    for func in AGGREGATE_FUNCTIONS:
+        for op in COMPARISON_OPS:
+            for _ in range(3):
+                values = {0, -rng.randint(1, 4)}
+                while len(values) < 5:
+                    values.add(rng.randint(-4, 6))
+                bound = rng.randint(-4, 8)
+                consts = " ".join(str(v) for v in sorted(values))
+                program = ground_program(parse_program(
+                    f"#const {consts}.\nh :- {func}{{X : p(X)}} {op} {bound}."
+                ))
+                agg = program.rules[0].agg[0]
+                assert enumerate_solutions(agg, program) == reference_solutions(
+                    agg, program
+                ), (func, op, bound, sorted(values))
+
+
+def test_enumeration_of_multiset_over_binary_predicate():
+    # Each grouped value occurs twice in the universe, once per Z.
+    for consts, op, bound in itertools.product(
+        ("-1 2", "0 -3"), COMPARISON_OPS, (-1, 0, 2)
+    ):
+        program = ground_program(parse_program(
+            f"#const {consts}.\nr :- sum{{{{X : q(X,Z)}}}} {op} {bound}."
+        ))
+        agg = program.rules[0].agg[0]
+        assert len(atom_universe(agg, program)) == 4
+        assert enumerate_solutions(agg, program) == reference_solutions(
+            agg, program
+        ), (consts, op, bound)
+
+
+def test_enumeration_of_count_over_symbolic_constants():
+    for op in COMPARISON_OPS:
+        program = ground_program(parse_program(
+            f"#const a b 1 c.\nh :- count{{X : p(X)}} {op} 2."
+        ))
+        agg = program.rules[0].agg[0]
+        assert enumerate_solutions(agg, program) == reference_solutions(agg, program)
+
+
+def test_enumeration_names_the_first_symbolic_atom():
+    program = ground_program(
+        parse_program("p(1). q(c). q(b). h :- min{X : p(X)} > 0.")
+    )
+    agg = program.rules[-1].agg[0]
+    with pytest.raises(NonIntegerElement) as checked:
+        is_solution(agg, SolutionPair(frozenset(), frozenset()), program)
+    with pytest.raises(NonIntegerElement) as enumerated:
+        enumerate_solutions(agg, program)
+    assert enumerated.value.atom == checked.value.atom == Atom("p", ("b",))
+    assert str(enumerated.value) == str(checked.value)
+
+
+def test_enumeration_budgets_reach_the_case_split_and_the_oracle():
+    sum_ne = ground_program(parse_program("p(1). p(2). q :- sum{X : p(X)} != 2."))
+    agg = sum_ne.rules[-1].agg[0]
+    assert len(enumerate_solutions(agg, sum_ne)) == 5
+    with pytest.raises(LimitExceeded):
+        enumerate_solutions(agg, sum_ne, subset_sum_limit=1)
+    avg_ne = ground_program(parse_program("p(1). p(2). q :- avg{X : p(X)} != 1."))
+    agg = avg_ne.rules[-1].agg[0]
+    assert enumerate_solutions(agg, avg_ne) == reference_solutions(agg, avg_ne)
+    with pytest.raises(LimitExceeded):
+        enumerate_solutions(agg, avg_ne, oracle_free_limit=0)
