@@ -10,6 +10,7 @@ reduction semantics.
 
 from .errors import (
     AggfixError,
+    Budgets,
     LimitExceeded,
     NonIntegerElement,
     ParseError,

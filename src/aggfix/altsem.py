@@ -28,20 +28,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import SemanticsViolation
+from .errors import Budgets, SemanticsViolation
 from .evaluate import (
-    DEFAULT_SUBSET_LIMIT,
     Interpretation,
     eval_aggregate_atom,
     is_minimal_model,
     satisfies_body,
 )
-from .fixpoint import DEFAULT_CANDIDATE_LIMIT, is_fixpoint_answer_set, subsets
-from .solutions import (
-    DEFAULT_ENUM_LIMIT,
-    SolutionPair,
-    enumerate_solutions,
-)
+from .fixpoint import is_fixpoint_answer_set, subsets
+from .solutions import SolutionPair, enumerate_solutions
 from .syntax import (
     AggregateAtom,
     Program,
@@ -127,9 +122,9 @@ def flp_reduct(p: Program, m: Interpretation) -> Program:
 
 
 def is_flp_answer_set(
-    p: Program, m: Interpretation, subset_limit: int = DEFAULT_SUBSET_LIMIT
+    p: Program, m: Interpretation, budgets: Budgets = Budgets()
 ) -> bool:
-    return is_minimal_model(m, flp_reduct(p, m), limit=subset_limit)
+    return is_minimal_model(m, flp_reduct(p, m), budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +135,23 @@ def solutions_satisfied_by(
     c: AggregateAtom,
     m: Interpretation,
     p: Program,
-    limit: int = DEFAULT_ENUM_LIMIT,
+    budgets: Budgets = Budgets(),
 ) -> tuple[SolutionPair, ...]:
     """Solutions the candidate is compatible with: positive part already
     in ``m``, negative part disjoint from it."""
     return tuple(
         s
-        for s in _all_solutions(c, p, limit)
+        for s in _all_solutions(c, p, budgets)
         if s.p <= m and not (s.n & m)
     )
 
 
-def _all_solutions(c: AggregateAtom, p: Program, limit: int):
+def _all_solutions(c: AggregateAtom, p: Program, budgets: Budgets):
     """The solutions of ``c``, enumerated once and kept in ``p.index``."""
     kept = p.index.solutions
-    key = (c, limit)
+    key = (c, budgets)
     if key not in kept:
-        kept[key] = enumerate_solutions(c, p, limit=limit)
+        kept[key] = enumerate_solutions(c, p, budgets)
     return kept[key]
 
 
@@ -178,7 +173,7 @@ def _dedup_subsume(rules) -> tuple[Rule, ...]:
 
 
 def unfold(
-    p: Program, m: Interpretation, limit: int = DEFAULT_ENUM_LIMIT
+    p: Program, m: Interpretation, budgets: Budgets = Budgets()
 ) -> NormalProgram:
     out = []
     for r in p.rules:
@@ -186,7 +181,7 @@ def unfold(
             continue
         per_aggregate = []
         for c in r.agg:
-            compatible = solutions_satisfied_by(c, m, p, limit=limit)
+            compatible = solutions_satisfied_by(c, m, p, budgets)
             if not compatible:
                 break
             per_aggregate.append(compatible)
@@ -202,16 +197,16 @@ def unfold(
 
 
 def is_unfolding_answer_set(
-    p: Program, m: Interpretation, limit: int = DEFAULT_ENUM_LIMIT
+    p: Program, m: Interpretation, budgets: Budgets = Budgets()
 ) -> bool:
-    return gl_answer_check(unfold(p, m, limit=limit), m)
+    return gl_answer_check(unfold(p, m, budgets), m)
 
 
 # ---------------------------------------------------------------------------
 # Solution translation
 # ---------------------------------------------------------------------------
 
-def translate_tr(p: Program, limit: int = DEFAULT_ENUM_LIMIT) -> NormalProgram:
+def translate_tr(p: Program, budgets: Budgets = Budgets()) -> NormalProgram:
     """Compile aggregates away, one rule per choice of solutions.
 
     Each solution contributes its positive part to the rule body and
@@ -221,7 +216,7 @@ def translate_tr(p: Program, limit: int = DEFAULT_ENUM_LIMIT) -> NormalProgram:
     """
     out = []
     for r in p.rules:
-        choices = [_all_solutions(c, p, limit) for c in r.agg]
+        choices = [_all_solutions(c, p, budgets) for c in r.agg]
         if any(not option for option in choices):
             continue
         for pick in itertools.product(*choices):
@@ -266,16 +261,15 @@ def semantics_report(
     p: Program,
     m: Interpretation,
     tr_program: NormalProgram | None = None,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-    subset_limit: int = DEFAULT_SUBSET_LIMIT,
+    budgets: Budgets = Budgets(),
 ) -> SemanticsReport:
     if tr_program is None:
-        tr_program = translate_tr(p, limit=enum_limit)
+        tr_program = translate_tr(p, budgets)
     report = SemanticsReport(
         candidate=m,
-        fixpoint=is_fixpoint_answer_set(p, m)[0],
-        flp=is_flp_answer_set(p, m, subset_limit=subset_limit),
-        unfolding=is_unfolding_answer_set(p, m, limit=enum_limit),
+        fixpoint=is_fixpoint_answer_set(p, m, budgets)[0],
+        flp=is_flp_answer_set(p, m, budgets),
+        unfolding=is_unfolding_answer_set(p, m, budgets),
         naive_gl=is_naive_answer_set(p, m),
         tr=gl_answer_check(tr_program, m),
     )
@@ -300,12 +294,10 @@ def _check_relations(r: SemanticsReport):
 def compare_programs(
     p: Program,
     candidates=None,
-    candidate_limit: int = DEFAULT_CANDIDATE_LIMIT,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-    subset_limit: int = DEFAULT_SUBSET_LIMIT,
+    budgets: Budgets = Budgets(),
 ) -> tuple[SemanticsReport, ...]:
     """Reports for every candidate (default: all herbrand subsets, which
-    ``candidate_limit`` bounds), in size-then-lexicographic order.
+    ``budgets.candidates`` bounds), in size-then-lexicographic order.
 
     Only candidates made of rule-head atoms are evaluated; any other
     gets an all-reject row.  Four of the semantics accept only the least
@@ -315,14 +307,11 @@ def compare_programs(
     leaves a model.
     """
     if candidates is None:
-        candidates = subsets(herbrand_base(p), candidate_limit)
+        candidates = subsets(herbrand_base(p), budgets)
     heads = frozenset(p.index.heads)
-    tr_program = translate_tr(p, limit=enum_limit)
+    tr_program = translate_tr(p, budgets)
     reports = [
-        semantics_report(
-            p, m, tr_program=tr_program,
-            enum_limit=enum_limit, subset_limit=subset_limit,
-        )
+        semantics_report(p, m, tr_program=tr_program, budgets=budgets)
         if m <= heads
         else SemanticsReport(m, *[False] * 5)
         for m in map(frozenset, candidates)

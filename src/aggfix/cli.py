@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import altsem, fixpoint, harness, solutions
-from .errors import AggfixError, LimitExceeded, ParseError
+from .errors import AggfixError, Budgets, LimitExceeded, ParseError
 from .syntax import (
     Program,
     atom_key,
@@ -31,19 +30,13 @@ from .syntax import (
 
 JSON_FORMAT_VERSION = 1
 
-ENV_BUDGET_ORACLE = "AGGFIX_BUDGET_ORACLE"
-
 
 @dataclass
 class RunConfig:
     format: str = "text"
     quiet: bool = False
     trace: str = "none"  # none | stages | full
-    budget_oracle: int = solutions.DEFAULT_ORACLE_FREE_LIMIT
-    budget_enum: int = solutions.DEFAULT_ENUM_LIMIT
-    budget_candidates: int = fixpoint.DEFAULT_CANDIDATE_LIMIT
-    budget_subsets: int = 1 << 20
-    budget_sum: int = solutions.DEFAULT_SUBSET_SUM_LIMIT
+    budgets: Budgets = Budgets()
 
     def emit(self, text: str = ""):
         if not self.quiet:
@@ -73,10 +66,10 @@ def _stage_lines(trace: fixpoint.FixpointTrace) -> list[str]:
 
 def cmd_solve(args, cfg: RunConfig) -> int:
     program = _load_ground(args.file)
-    answers = fixpoint.enumerate_answer_sets(program, limit=cfg.budget_candidates)
+    answers = fixpoint.enumerate_answer_sets(program, cfg.budgets)
     traces = None
     if cfg.trace != "none":
-        traces = [fixpoint.least_fixpoint(program, m) for m in answers]
+        traces = [fixpoint.least_fixpoint(program, m, cfg.budgets) for m in answers]
     if cfg.format == "json":
         payload = {"command": "solve", "answer_sets": [_interp_to_json(m) for m in answers]}
         if traces is not None:
@@ -96,7 +89,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 def cmd_check(args, cfg: RunConfig) -> int:
     program = _load_ground(args.file)
     candidate = parse_atom_list(args.candidate)
-    verdict, trace = fixpoint.is_fixpoint_answer_set(program, candidate)
+    verdict, trace = fixpoint.is_fixpoint_answer_set(program, candidate, cfg.budgets)
     if cfg.format == "json":
         cfg.emit_json(
             {
@@ -141,14 +134,8 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     elif not args.all:
         # Only rule-head candidates can be accepted, and only accepted
         # rows are shown: evaluate just those.
-        candidates = fixpoint.subsets(program.index.heads, cfg.budget_candidates)
-    reports = altsem.compare_programs(
-        program,
-        candidates=candidates,
-        candidate_limit=cfg.budget_candidates,
-        enum_limit=cfg.budget_enum,
-        subset_limit=cfg.budget_subsets,
-    )
+        candidates = fixpoint.subsets(program.index.heads, cfg.budgets)
+    reports = altsem.compare_programs(program, candidates, cfg.budgets)
     shown = [r for r in reports if args.all or r.any_accepted]
     if cfg.format == "json":
         cfg.emit_json(
@@ -188,13 +175,7 @@ def cmd_solutions(args, cfg: RunConfig) -> int:
             f"(program has {len(aggregates)})"
         )
     aggregate = aggregates[args.index]
-    pairs = solutions.enumerate_solutions(
-        aggregate,
-        program,
-        limit=cfg.budget_enum,
-        oracle_free_limit=cfg.budget_oracle,
-        subset_sum_limit=cfg.budget_sum,
-    )
+    pairs = solutions.enumerate_solutions(aggregate, program, cfg.budgets)
     if cfg.format == "json":
         # The compiled universe is in canonical order: walking it renders
         # each part sorted, with one str() per universe atom.
@@ -258,6 +239,20 @@ def cmd_gen(args, cfg: RunConfig) -> int:
     return 0
 
 
+_BUDGET_HELP = {
+    "candidates": "most candidates a sweep may visit: solve, and compare given "
+    "no candidates, sweep the 2**|head atoms| subsets of the rule-head atoms; "
+    "compare --all lists all 2**|herbrand base| subsets",
+    "enum": "most pairs, 3**|universe|, one aggregate's solution enumeration "
+    "may check (solutions; compare builds tr and the unfolding from them)",
+    "subsets": "most subsets, 2**|candidate|, one FLP minimality check may "
+    "try (compare)",
+    "sum": "most total weight of one subset-sum sweep: sum of |x| (sum !=) "
+    "or of |x - bound| (avg !=) over the free values (solve, check, compare, "
+    "solutions)",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aggfix",
@@ -266,16 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--quiet", action="store_true")
-    common.add_argument("--budget-oracle", type=int, default=None)
-    common.add_argument("--budget-enum", type=int, default=None)
-    common.add_argument(
-        "--budget-candidates", type=int, default=None,
-        help="most candidates a sweep may visit: solve, and compare given no "
-        "candidates, sweep the 2**|head atoms| subsets of the rule-head atoms; "
-        "compare --all lists all 2**|herbrand base| subsets",
-    )
-    common.add_argument("--budget-subsets", type=int, default=None)
-    common.add_argument("--budget-sum", type=int, default=None)
+    for name, text in _BUDGET_HELP.items():
+        common.add_argument(
+            f"--budget-{name}", type=int, default=getattr(Budgets, name), help=text
+        )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -332,24 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    cfg.format = args.format
-    cfg.quiet = args.quiet
-    cfg.trace = getattr(args, "trace", "none")
-    env_oracle = os.environ.get(ENV_BUDGET_ORACLE)
-    if env_oracle is not None:
-        cfg.budget_oracle = int(env_oracle)
-    if args.budget_oracle is not None:
-        cfg.budget_oracle = args.budget_oracle
-    if args.budget_enum is not None:
-        cfg.budget_enum = args.budget_enum
-    if args.budget_candidates is not None:
-        cfg.budget_candidates = args.budget_candidates
-    if args.budget_subsets is not None:
-        cfg.budget_subsets = args.budget_subsets
-    if args.budget_sum is not None:
-        cfg.budget_sum = args.budget_sum
-    return cfg
+    budgets = Budgets(
+        **{name: getattr(args, f"budget_{name}") for name in _BUDGET_HELP}
+    )
+    return RunConfig(args.format, args.quiet, getattr(args, "trace", "none"), budgets)
 
 
 _PARSER = None
@@ -366,11 +341,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _config_from(args)
     try:
         return args.run(args, cfg)
     except LimitExceeded as exc:

@@ -51,9 +51,6 @@ class CompiledAggregate:
         """The canonically first universe atom in ``mask``."""
         return next(a for b, a, _ in self.universe if b & mask)
 
-    def atoms_in(self, mask: int) -> frozenset:
-        return frozenset(a for b, a, _ in self.universe if b & mask)
-
 
 class CompiledProgram:
     """Bit-interned atoms, rules and aggregates of one ground program.
@@ -65,8 +62,8 @@ class CompiledProgram:
     * ``heads`` lists the atoms that head some rule, in canonical order:
       every answer set is a subset of them, being the least fixpoint of
       its own reduct.
-    * ``solutions`` maps ``(aggregate atom, enumeration budget)`` to the
-      aggregate's solutions once ``altsem`` has enumerated them.
+    * ``solutions`` maps ``(aggregate atom, budgets)`` to the aggregate's
+      solutions once ``altsem`` has enumerated them.
     """
 
     def __init__(self, p: Program):

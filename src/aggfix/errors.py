@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the search budgets shared across the package."""
+
+from dataclasses import dataclass
 
 
 class AggfixError(Exception):
@@ -26,6 +28,25 @@ class NonIntegerElement(AggfixError):
 
 class LimitExceeded(AggfixError):
     """A configured search budget would be exceeded."""
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """Bounds on the exponential steps; a step that would exceed its
+    bound raises LimitExceeded before it starts.
+
+    * ``candidates``: subsets a candidate sweep visits, 2**|atoms swept|.
+    * ``enum``: pairs an aggregate's solution enumeration checks, 3**|H|.
+    * ``subsets``: subsets an FLP minimality check tries, 2**|candidate|.
+    * ``sum``: total weight of a subset-sum sweep, the sum of |x| over
+      the free values for sum with ``!=`` and of |x - bound| for avg
+      with ``!=``.
+    """
+
+    candidates: int = 1 << 20
+    enum: int = 3 ** 14
+    subsets: int = 1 << 20
+    sum: int = 1_000_000
 
 
 class SemanticsViolation(AggfixError):

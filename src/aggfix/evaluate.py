@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from typing import Union
 
-from .errors import LimitExceeded, NonIntegerElement
+from .errors import Budgets, LimitExceeded, NonIntegerElement
 from .syntax import (
     AggregateAtom,
     Atom,
@@ -31,9 +31,6 @@ from .syntax import (
 )
 
 Interpretation = frozenset
-
-# Full subset enumeration cap for minimality checking (number of subsets).
-DEFAULT_SUBSET_LIMIT = 1 << 20
 
 _OPS = {
     "=": lambda a, b: a == b,
@@ -150,14 +147,14 @@ def is_model(i: Interpretation, p: Program) -> bool:
 
 
 def is_minimal_model(
-    i: Interpretation, p: Program, limit: int = DEFAULT_SUBSET_LIMIT
+    i: Interpretation, p: Program, budgets: Budgets = Budgets()
 ) -> bool:
     """Model with no proper submodel.
 
     Single-atom removals are tried first: bodies are not monotone, so a
     smaller model need not be reachable one atom at a time, but most
-    non-minimal candidates fail fast this way.  The exhaustive sweep is
-    budgeted at 2**|i| subsets.
+    non-minimal candidates fail fast this way.  ``budgets.subsets``
+    bounds the exhaustive sweep over the 2**|i| subsets.
     """
     if not is_model(i, p):
         return False
@@ -166,9 +163,10 @@ def is_minimal_model(
         if is_model(i - {a}, p):
             return False
     if len(atoms) >= 2:
-        if 2 ** len(atoms) > limit:
+        if 2 ** len(atoms) > budgets.subsets:
             raise LimitExceeded(
-                f"minimality check over {len(atoms)} atoms exceeds {limit} subsets"
+                f"minimality check over {len(atoms)} atoms exceeds "
+                f"{budgets.subsets} subsets"
             )
         for size in range(len(atoms) - 1):
             for combo in itertools.combinations(atoms, size):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import LimitExceeded
+from .errors import Budgets, LimitExceeded
 from .evaluate import Interpretation, is_model
 from .solutions import holds_conditionally
 from .syntax import Atom, Program, Rule
@@ -27,8 +27,6 @@ from .syntax import Atom, Program, Rule
 # namespace, finds them.
 from .solutions import conditionally_satisfies  # noqa: F401
 from .syntax import herbrand_base  # noqa: F401
-
-DEFAULT_CANDIDATE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,53 +65,57 @@ def _reduct_rules(index, m: int) -> list:
     return [(head, pos, aggs) for head, pos, neg, aggs in index.rules if not neg & m]
 
 
-def _consequences(rules, m: int, i: int, p: Program) -> int:
+def _consequences(rules, m: int, i: int, sum_limit: int) -> int:
     """One step of the consequence operator, on bit masks."""
     heads = 0
     for head, pos, aggs in rules:
         if heads & head or pos & ~i:
             continue
-        if all(holds_conditionally(c, i, m, p) for c in aggs):
+        if all(holds_conditionally(c, i, m, sum_limit) for c in aggs):
             heads |= head
     return heads
 
 
 def apply_consequence(
-    p: Program, m: Interpretation, i: Interpretation
+    p: Program, m: Interpretation, i: Interpretation, budgets: Budgets = Budgets()
 ) -> Interpretation:
     """One application of the consequence operator for candidate ``m``."""
     index = p.index
     mm = index.mask(m)
-    return index.atoms_of(_consequences(_reduct_rules(index, mm), mm, index.mask(i), p))
+    rules = _reduct_rules(index, mm)
+    return index.atoms_of(_consequences(rules, mm, index.mask(i), budgets.sum))
 
 
-def least_fixpoint(p: Program, m: Interpretation) -> FixpointTrace:
+def least_fixpoint(
+    p: Program, m: Interpretation, budgets: Budgets = Budgets()
+) -> FixpointTrace:
     index = p.index
     mm = index.mask(m)
     rules = _reduct_rules(index, mm)
     stages = [0]
     while True:
-        nxt = _consequences(rules, mm, stages[-1], p)
+        nxt = _consequences(rules, mm, stages[-1], budgets.sum)
         stages.append(nxt)
         if nxt == stages[-2]:
             return FixpointTrace(tuple(index.atoms_of(s) for s in stages))
 
 
 def is_fixpoint_answer_set(
-    p: Program, m: Interpretation
+    p: Program, m: Interpretation, budgets: Budgets = Budgets()
 ) -> tuple[bool, FixpointTrace]:
-    trace = least_fixpoint(p, m)
+    trace = least_fixpoint(p, m, budgets)
     return trace.fixpoint == m, trace
 
 
-def subsets(atoms: tuple[Atom, ...], limit: int):
+def subsets(atoms: tuple[Atom, ...], budgets: Budgets):
     """Every subset of ``atoms`` (given in canonical order) as a
     frozenset, smallest first and lexicographic within a size, which is
     ``interpretation_key`` order.  Raises LimitExceeded at once when
-    there are more than ``limit`` subsets."""
-    if 2 ** len(atoms) > limit:
+    there are more than ``budgets.candidates`` subsets."""
+    if 2 ** len(atoms) > budgets.candidates:
         raise LimitExceeded(
-            f"sweeping 2**{len(atoms)} candidates exceeds the budget of {limit}"
+            f"sweeping 2**{len(atoms)} candidates exceeds the budget of "
+            f"{budgets.candidates}"
         )
     return (
         frozenset(combo)
@@ -123,19 +125,20 @@ def subsets(atoms: tuple[Atom, ...], limit: int):
 
 
 def enumerate_answer_sets(
-    p: Program, limit: int = DEFAULT_CANDIDATE_LIMIT
+    p: Program, budgets: Budgets = Budgets()
 ) -> tuple[Interpretation, ...]:
     """All fixpoint answer sets, in size-then-lexicographic order.
 
     An answer set is the least fixpoint of its own reduct, so it holds
     rule-head atoms only: the sweep visits every subset of the head
-    atoms, and ``limit`` bounds their number, 2**|head atoms|.  This is
+    atoms, and ``budgets.candidates`` bounds their number,
+    2**|head atoms|.  This is
     a desk-scale tool.  Candidates that are not models are skipped
     without running the fixpoint iteration (every answer set is a
     model).
     """
     return tuple(
         m
-        for m in subsets(p.index.heads, limit)
-        if is_model(m, p) and is_fixpoint_answer_set(p, m)[0]
+        for m in subsets(p.index.heads, budgets)
+        if is_model(m, p) and is_fixpoint_answer_set(p, m, budgets)[0]
     )

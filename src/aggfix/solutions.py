@@ -11,15 +11,14 @@ Two independent routes decide pair-hood.  ``is_solution_oracle``
 enumerates the free subsets and evaluates ``l`` on each extension; it
 is exponential in the number of free atoms and serves as ground truth.
 ``is_solution`` decides the same question case by case per aggregate
-function and comparison operator; every case is polynomial except
-sum-with-``!=``, which reduces to subset-sum and runs a pseudo-
-polynomial reachable-sums sweep, and avg-with-``!=``, which falls back
-to the oracle.
+function and comparison operator; every case is polynomial except sum
+and avg with ``!=``, which reduce to subset-sum and run a pseudo-
+polynomial reachable-sums sweep bounded by ``Budgets.sum``.  The engine
+never calls the oracle.
 
 ``enumerate_solutions`` runs that case split directly on the grouped
-values of the aggregate's compiled universe (``Program.index``): it
-builds a ``SolutionPair`` only for an accepted pair, and for avg-with-
-``!=`` pairs, which it hands to the oracle.
+values of the aggregate's compiled universe (``Program.index``) and
+builds a ``SolutionPair`` only for an accepted pair.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import LimitExceeded, NonIntegerElement
+from .errors import Budgets, LimitExceeded, NonIntegerElement
 from .evaluate import Interpretation, compare, eval_aggregate_atom
 from .syntax import (
     AggregateAtom,
@@ -39,9 +38,7 @@ from .syntax import (
     atom_universe,
 )
 
-DEFAULT_ORACLE_FREE_LIMIT = 20        # free atoms, oracle cost 2**free
-DEFAULT_ENUM_LIMIT = 3 ** 14          # candidate pairs per universe
-DEFAULT_SUBSET_SUM_LIMIT = 1_000_000  # sum of |values| in the reachability sweep
+DEFAULT_ORACLE_FREE_LIMIT = 20  # free atoms, oracle cost 2**free
 
 _NUMERIC = ("sum", "min", "max", "avg")
 
@@ -131,15 +128,14 @@ def _reachable_sums(values, limit: int) -> set[int]:
 
 
 def _case_split(
-    l: AggregateAtom, base_values: list, free_values: list, subset_sum_limit: int
-):
+    l: AggregateAtom, base_values: list, free_values: list, sum_limit: int
+) -> bool:
     """Whether every extension of the base values by free values satisfies
     ``l``, decided per (function, operator) case.
 
     ``base_values`` are the grouped values of the pair's positive part
-    and ``free_values`` those of its free atoms.  Returns None for avg
-    with ``!=``, which has no polynomial case split: the caller asks the
-    oracle.
+    and ``free_values`` those of its free atoms.  Sum and avg with
+    ``!=`` run a subset-sum sweep whose weight ``sum_limit`` bounds.
     """
     op, v = l.op, l.bound
 
@@ -164,7 +160,7 @@ def _case_split(
             worst = base + sum(x for x in free_values if x > 0)
             return compare(op, base, v) and compare(op, worst, v)
         # "!=": no free subset may close the gap to the bound
-        return (v - base) not in _reachable_sums(free_values, subset_sum_limit)
+        return (v - base) not in _reachable_sums(free_values, sum_limit)
 
     # min/max/avg are undefined on the empty collection, so the base
     # itself must make them defined.
@@ -211,25 +207,24 @@ def _case_split(
             if not compare(op, running, v * (k + h)):
                 return False
         return True
-    return None
+    # "!=": shifted by the bound, the base sums to base - k*v and each
+    # free atom adds x - v; no free subset may bring the total to 0.
+    shifted = [x - v for x in free_values]
+    return v * k - base not in _reachable_sums(shifted, sum_limit)
 
 
-def _mask_verdict(c, pos: int, free: int, subset_sum_limit: int):
+def _mask_verdict(c, pos: int, free: int, sum_limit: int) -> bool:
     """``_case_split`` on a compiled aggregate, with the positive part and
     the free atoms given as bit masks."""
     if (pos | free) & c.symbolic:
         raise NonIntegerElement(c.first_atom((pos | free) & c.symbolic))
     base_values = [v for b, _, v in c.universe if b & pos]
     free_values = [v for b, _, v in c.universe if b & free]
-    return _case_split(c.atom, base_values, free_values, subset_sum_limit)
+    return _case_split(c.atom, base_values, free_values, sum_limit)
 
 
 def is_solution(
-    l: AggregateAtom,
-    s: SolutionPair,
-    p: Program,
-    oracle_free_limit: int = DEFAULT_ORACLE_FREE_LIMIT,
-    subset_sum_limit: int = DEFAULT_SUBSET_SUM_LIMIT,
+    l: AggregateAtom, s: SolutionPair, p: Program, budgets: Budgets = Budgets()
 ) -> bool:
     """Case-by-case solution check; agrees with ``is_solution_oracle``."""
     index = p.index
@@ -238,10 +233,7 @@ def is_solution(
     # An atom the program lacks adds no bit; one outside H, a bit outside H.
     if (pos | neg).bit_count() != len(s.p) + len(s.n) or (pos | neg) & ~c.mask:
         raise ValueError("solution pair mentions atoms outside the universe")
-    verdict = _mask_verdict(c, pos, c.mask & ~(pos | neg), subset_sum_limit)
-    if verdict is None:
-        return is_solution_oracle(l, s, p, free_limit=oracle_free_limit)
-    return verdict
+    return _mask_verdict(c, pos, c.mask & ~(pos | neg), budgets.sum)
 
 
 def _lex_masks(size: int) -> list[int]:
@@ -260,29 +252,26 @@ def _lex_masks(size: int) -> list[int]:
 
 
 def enumerate_solutions(
-    l: AggregateAtom,
-    p: Program,
-    limit: int = DEFAULT_ENUM_LIMIT,
-    oracle_free_limit: int = DEFAULT_ORACLE_FREE_LIMIT,
-    subset_sum_limit: int = DEFAULT_SUBSET_SUM_LIMIT,
+    l: AggregateAtom, p: Program, budgets: Budgets = Budgets()
 ) -> tuple[SolutionPair, ...]:
     """All solutions of ``l`` over its universe, in ``pair_key`` order.
 
     The sweep assigns each atom of the compiled universe to the positive
     part, the negative part or the free atoms, and runs the case split
-    on the grouped values; only avg-with-``!=`` pairs go to the oracle.
+    on the grouped values; ``budgets.enum`` bounds the 3**|H| pairs.
     Subsets are bit masks over universe positions.  The universe is in
     canonical order, so ordering the pairs by the lexicographic order of
     the positive parts' position tuples, then of the negative parts',
     is ``pair_key`` order.  The first pair checked leaves every atom
-    free, so a budget or a symbolic value that stops the sweep stops it
-    with the same message as checking that pair alone.
+    free, so a symbolic value, or a sum with ``!=`` over more weight
+    than ``budgets.sum``, stops the sweep with the same message as
+    checking that pair alone.
     """
     c = p.index.aggregate(l)
     size = len(c.universe)
-    if 3 ** size > limit:
+    if 3 ** size > budgets.enum:
         raise LimitExceeded(
-            f"enumerating 3**{size} pairs exceeds the budget of {limit}"
+            f"enumerating 3**{size} pairs exceeds the budget of {budgets.enum}"
         )
     if c.symbolic:
         raise NonIntegerElement(c.first_atom(c.symbolic))
@@ -305,15 +294,7 @@ def enumerate_solutions(
         accepted = []
         neg = 0
         while True:  # every submask of rest, ascending from 0
-            verdict = _case_split(
-                l, base_values, values_in[rest ^ neg], subset_sum_limit
-            )
-            if verdict is None:
-                verdict = is_solution_oracle(
-                    l, SolutionPair(atoms_in[pos], atoms_in[neg]), p,
-                    free_limit=oracle_free_limit,
-                )
-            if verdict:
+            if _case_split(l, base_values, values_in[rest ^ neg], budgets.sum):
                 accepted.append(neg)
             if neg == rest:
                 break
@@ -323,19 +304,18 @@ def enumerate_solutions(
     return tuple(found)
 
 
-def holds_conditionally(c, i: int, m: int, p: Program) -> bool:
-    """``conditionally_satisfies`` for a compiled aggregate of ``p``, with
-    ``i`` and ``m`` given as bit masks over ``p.index``."""
-    pos = i & m & c.mask
-    verdict = _mask_verdict(c, pos, m & c.mask & ~i, DEFAULT_SUBSET_SUM_LIMIT)
-    if verdict is None:
-        pair = SolutionPair(c.atoms_in(pos), c.atoms_in(c.mask & ~m))
-        return is_solution_oracle(c.atom, pair, p)
-    return verdict
+def holds_conditionally(c, i: int, m: int, sum_limit: int) -> bool:
+    """``conditionally_satisfies`` for a compiled aggregate, with ``i``
+    and ``m`` given as bit masks over its program's index."""
+    return _mask_verdict(c, i & m & c.mask, m & c.mask & ~i, sum_limit)
 
 
 def conditionally_satisfies(
-    i: Interpretation, m: Interpretation, literal, p: Program
+    i: Interpretation,
+    m: Interpretation,
+    literal,
+    p: Program,
+    budgets: Budgets = Budgets(),
 ) -> bool:
     """Satisfaction of a body literal by ``i`` under the candidate ``m``.
 
@@ -347,7 +327,7 @@ def conditionally_satisfies(
     if isinstance(literal, AggregateAtom):
         index = p.index
         return holds_conditionally(
-            index.aggregate(literal), index.mask(i), index.mask(m), p
+            index.aggregate(literal), index.mask(i), index.mask(m), budgets.sum
         )
     return literal in i
 

@@ -285,19 +285,45 @@ def test_subset_sum_budget_flag(run_cli, tmp_path):
     assert code == 3 and out == "" and "limit exceeded" in err
 
 
-def test_oracle_budget_env_var(run_cli, tmp_path, monkeypatch):
-    # avg != needs the brute-force fallback; a zero budget starves it.
+def test_subset_sum_budget_bounds_avg_not_equal(run_cli, tmp_path):
+    # avg != sweeps the free values shifted by the bound: weight at most 1.
     path = tmp_path / "avg.lp"
     path.write_text("p(1). p(2). q :- avg{X : p(X)} != 1.")
-    monkeypatch.setenv("AGGFIX_BUDGET_ORACLE", "0")
-    code, _, err = run_cli("solutions", str(path))
+    code, _, err = run_cli("solutions", str(path), "--budget-sum", "0")
     assert code == 3 and "limit exceeded" in err
-    # the flag wins over the environment
-    code, out, _ = run_cli("solutions", str(path), "--budget-oracle", "20")
+    code, out, _ = run_cli("solutions", str(path), "--budget-sum", "1")
     assert code == 0 and out.splitlines()[0].endswith("solutions")
-    monkeypatch.delenv("AGGFIX_BUDGET_ORACLE")
-    code, _, err = run_cli("solutions", str(path), "--budget-oracle", "0")
-    assert code == 3
+    code, out, _ = run_cli("solutions", str(path))
+    assert code == 0 and out.splitlines()[0].endswith("solutions")
+
+
+SUM_NE_TEXT = "p(1). p(2). p(3). p(4). p(5). h :- sum{X : p(X)} != 100."
+
+
+@pytest.mark.parametrize(
+    ("flag", "command"),
+    [
+        ("--budget-candidates", "solve"),
+        ("--budget-candidates", "compare"),
+        ("--budget-enum", "solutions"),
+        ("--budget-enum", "compare"),
+        ("--budget-subsets", "compare"),
+        ("--budget-sum", "solve"),
+        ("--budget-sum", "check"),
+        ("--budget-sum", "compare"),
+        ("--budget-sum", "solutions"),
+    ],
+)
+def test_budget_flag_bounds_each_subcommand(run_cli, tmp_path, flag, command):
+    path = tmp_path / "sum_ne.lp"
+    path.write_text(SUM_NE_TEXT)
+    argv = [command, str(path)]
+    if command == "check":
+        argv += ["-m", "p(1),p(2),p(3),p(4),p(5),h"]
+    code, out, err = run_cli(*argv, flag, "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("limit exceeded: ") and err.count("\n") == 1
+    assert run_cli(*argv)[0] in (0, 1)
 
 
 def test_every_json_payload_is_versioned(run_cli, program_files, bound_six_file):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from aggfix.errors import LimitExceeded, NonIntegerElement
+from aggfix.errors import Budgets, LimitExceeded, NonIntegerElement
 from aggfix.evaluate import (
     eval_aggregate_atom,
     eval_set_expression,
@@ -142,7 +142,7 @@ def test_is_minimal_model_budget():
     m = atoms("p/1", "p/2", "p/3")
     assert is_minimal_model(m, p)
     with pytest.raises(LimitExceeded):
-        is_minimal_model(m, p, limit=4)
+        is_minimal_model(m, p, Budgets(subsets=4))
 
 
 def test_aggregate_truth_is_local_to_universe(guard_program):

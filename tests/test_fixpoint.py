@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from aggfix.errors import LimitExceeded
+from aggfix.errors import Budgets, LimitExceeded
 from aggfix.evaluate import is_model
 from aggfix.fixpoint import (
     apply_consequence,
@@ -133,7 +133,7 @@ def test_enumerate_answer_sets(guard_program, choice_program, cycle_program):
 
 def test_enumerate_budget(guard_program):
     with pytest.raises(LimitExceeded):
-        enumerate_answer_sets(guard_program, limit=16)
+        enumerate_answer_sets(guard_program, Budgets(candidates=16))
 
 
 def test_operator_monotone_in_derived_set(guard_program):
@@ -214,9 +214,9 @@ def test_candidate_budget_counts_head_atoms_only():
     # 2**6 base subsets but 2**1 head subsets: a budget of 2 suffices.
     program = ground_program(parse_program("#const 1 2 3. q(1) :- not p(2)."))
     assert len(herbrand_base(program)) == 6
-    assert enumerate_answer_sets(program, limit=2) == (atoms("q/1"),)
+    assert enumerate_answer_sets(program, Budgets(candidates=2)) == (atoms("q/1"),)
     with pytest.raises(LimitExceeded):
-        enumerate_answer_sets(program, limit=1)
+        enumerate_answer_sets(program, Budgets(candidates=1))
 
 
 def test_lfp_stages_agree_with_oracle():

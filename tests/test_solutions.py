@@ -5,8 +5,10 @@ import itertools
 
 import pytest
 
-from aggfix.errors import LimitExceeded, NonIntegerElement
+from aggfix import solutions
+from aggfix.errors import Budgets, LimitExceeded, NonIntegerElement
 from aggfix.evaluate import eval_aggregate_atom
+from aggfix.fixpoint import least_fixpoint
 from aggfix.harness import SplitMix64
 from aggfix.solutions import (
     SolutionPair,
@@ -248,10 +250,10 @@ def test_oracle_budget(guard_program):
 def test_enumeration_budget(guard_program):
     agg = guard_aggregate(guard_program)
     with pytest.raises(LimitExceeded):
-        enumerate_solutions(agg, guard_program, limit=80)
+        enumerate_solutions(agg, guard_program, Budgets(enum=80))
 
 
-def test_avg_not_equal_falls_back_to_oracle():
+def test_avg_not_equal_by_subset_sum():
     program = ground_program(parse_program("p(1). p(2). q :- avg{X : p(X)} != 1."))
     agg = program.rules[-1].agg[0]
     empty = SolutionPair(frozenset(), frozenset())
@@ -262,8 +264,9 @@ def test_avg_not_equal_falls_back_to_oracle():
     wide = ground_program(parse_program("p(1). p(2). p(3). q :- avg{X : p(X)} != 1."))
     agg = wide.rules[-1].agg[0]
     assert is_solution(agg, SolutionPair(p_of(2), frozenset()), wide)
+    # The sweep runs over the free values shifted by the bound, 0 and 2.
     with pytest.raises(LimitExceeded):
-        is_solution(agg, SolutionPair(p_of(2), frozenset()), wide, oracle_free_limit=1)
+        is_solution(agg, SolutionPair(p_of(2), frozenset()), wide, Budgets(sum=1))
 
 
 def test_solution_pair_rendering():
@@ -363,14 +366,42 @@ def test_enumeration_names_the_first_symbolic_atom():
     assert str(enumerated.value) == str(checked.value)
 
 
-def test_enumeration_budgets_reach_the_case_split_and_the_oracle():
+def test_enumeration_budgets_reach_the_case_split():
     sum_ne = ground_program(parse_program("p(1). p(2). q :- sum{X : p(X)} != 2."))
     agg = sum_ne.rules[-1].agg[0]
     assert len(enumerate_solutions(agg, sum_ne)) == 5
     with pytest.raises(LimitExceeded):
-        enumerate_solutions(agg, sum_ne, subset_sum_limit=1)
+        enumerate_solutions(agg, sum_ne, Budgets(sum=1))
     avg_ne = ground_program(parse_program("p(1). p(2). q :- avg{X : p(X)} != 1."))
     agg = avg_ne.rules[-1].agg[0]
     assert enumerate_solutions(agg, avg_ne) == reference_solutions(agg, avg_ne)
     with pytest.raises(LimitExceeded):
-        enumerate_solutions(agg, avg_ne, oracle_free_limit=0)
+        enumerate_solutions(agg, avg_ne, Budgets(sum=0))
+
+
+def test_oracle_is_off_the_hot_path(monkeypatch):
+    program = ground_program(parse_program(
+        "p(1). p(4) :- q. p(3) :- not q. q :- avg{X : p(X)} != 2."
+    ))
+    agg = program.rules[-1].agg[0]
+    universe = atom_universe(agg, program)
+    candidates = [
+        frozenset(c)
+        for size in range(len(program.index.heads) + 1)
+        for c in itertools.combinations(program.index.heads, size)
+    ]
+
+    def run():
+        return (
+            [is_solution(agg, s, program) for s in all_pairs(universe)],
+            enumerate_solutions(agg, program),
+            [least_fixpoint(program, m).stages for m in candidates],
+        )
+
+    before = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(solutions, "is_solution_oracle", refuse)
+    assert run() == before
